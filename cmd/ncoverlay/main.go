@@ -1,9 +1,10 @@
 // Command ncoverlay runs a broker overlay, in one of two modes.
 //
-// Simulation (default): N brokers in a line/star/tree topology inside one
-// process, random Boolean subscriptions spread over the brokers, random
-// events published at random brokers, routing statistics printed at the
-// end.
+// Simulation (default): N internal/netoverlay brokers in a line/star/tree
+// topology inside one process, joined by in-memory pipe links
+// (netoverlay.Link), random Boolean subscriptions spread over the brokers,
+// random events published at random brokers, routing statistics summed
+// over the brokers printed at the end.
 //
 // Federation (-listen / -peer): this process IS one broker, federated with
 // other ncoverlay processes over real TCP using the wire protocol. Links
@@ -29,7 +30,9 @@
 //
 // With -metrics-addr, an operational endpoint serves Prometheus text on
 // /metrics, JSON on /vars, recent hop traces on /traces and pprof on
-// /debug/pprof/ (see internal/obs). In federation mode, -trace-every N
+// /debug/pprof/ (see internal/obs). Each broker owns its registry, so in
+// simulation mode the endpoint serves the root broker's (broker 0's)
+// metrics only. In federation mode, -trace-every N
 // stamps every Nth locally published event with a trace ID and origin
 // timestamp that ride the wire: each broker the event crosses records the
 // hop into its hop-latency histogram and trace ring.
@@ -49,7 +52,6 @@ import (
 	"noncanon/internal/event"
 	"noncanon/internal/netoverlay"
 	"noncanon/internal/obs"
-	"noncanon/internal/overlay"
 	"noncanon/internal/workload"
 )
 
@@ -75,7 +77,7 @@ func main() {
 		ping      = flag.Duration("ping", 0, "federation mode: keep-alive ping interval (0 = default, <0 disables)")
 		readIdle  = flag.Duration("read-idle", 0, "federation mode: detach a peer silent this long (0 = default, <0 disables)")
 
-		metricsAddr = flag.String("metrics-addr", "", "serve /metrics, /vars, /traces and /debug/pprof on this address")
+		metricsAddr = flag.String("metrics-addr", "", "serve /metrics, /vars, /traces and /debug/pprof on this address (simulation mode: the root broker's registry only)")
 		traceEvery  = flag.Int("trace-every", 0, "federation mode: stamp every Nth local event with a cross-hop trace (0 disables)")
 	)
 	flag.Parse()
@@ -217,9 +219,12 @@ func runFederated(w io.Writer, cfg fedConfig) error {
 			}
 		}
 		b.Quiesce(cfg.Settle)
-		// Quiesce by construction spends its last cfg.Settle observing an
-		// already-quiet broker; don't bill that to throughput.
-		elapsed = time.Since(start) - cfg.Settle
+		elapsed = time.Since(start)
+		// With peers in other processes Quiesce spends its last cfg.Settle
+		// observing an already-quiet broker; don't bill that to throughput.
+		if b.Stats().Peers > 0 {
+			elapsed -= cfg.Settle
+		}
 		if elapsed <= 0 {
 			elapsed = time.Millisecond
 		}
@@ -282,60 +287,76 @@ type simConfig struct {
 }
 
 func run(sc simConfig) error {
-	var (
-		nw  *overlay.Network
-		err error
-	)
-	cfg := overlay.Config{
-		Cover:         sc.Cover,
-		LinkHighWater: sc.LinkHighWater,
-		LinkLowWater:  sc.LinkLowWater,
+	var parent func(i int) int
+	switch sc.Topology {
+	case "line":
+		parent = func(i int) int { return i - 1 }
+	case "star":
+		parent = func(int) int { return 0 }
+	case "tree":
+		if sc.Fanout < 1 {
+			return fmt.Errorf("tree fanout must be >= 1, got %d", sc.Fanout)
+		}
+		parent = func(i int) int { return (i - 1) / sc.Fanout }
+	default:
+		return fmt.Errorf("unknown topology %q", sc.Topology)
+	}
+	if sc.Nodes < 1 {
+		return fmt.Errorf("need at least one broker, got %d", sc.Nodes)
+	}
+	brokers := make([]*netoverlay.Broker, sc.Nodes)
+	for i := range brokers {
+		brokers[i] = netoverlay.NewBroker(netoverlay.Options{
+			NodeID:        uint32(i + 1),
+			Cover:         sc.Cover,
+			LinkHighWater: sc.LinkHighWater,
+			LinkLowWater:  sc.LinkLowWater,
+		})
+		defer brokers[i].Close()
+	}
+	for i := 1; i < sc.Nodes; i++ {
+		if err := netoverlay.Link(brokers[i], brokers[parent(i)]); err != nil {
+			return err
+		}
 	}
 	if sc.MetricsAddr != "" {
-		cfg.Metrics = obs.NewRegistry()
-		ln, err := obs.Serve(sc.MetricsAddr, cfg.Metrics)
+		ln, err := obs.Serve(sc.MetricsAddr, brokers[0].Metrics())
 		if err != nil {
 			return fmt.Errorf("metrics: %w", err)
 		}
 		defer ln.Close()
-		fmt.Printf("metrics on http://%s/metrics\n", ln.Addr())
+		fmt.Printf("metrics on http://%s/metrics (root broker)\n", ln.Addr())
 	}
-	switch sc.Topology {
-	case "line":
-		nw, err = overlay.NewLine(sc.Nodes, cfg)
-	case "star":
-		nw, err = overlay.NewStar(sc.Nodes, cfg)
-	case "tree":
-		nw, err = overlay.NewTree(sc.Nodes, sc.Fanout, cfg)
-	default:
-		return fmt.Errorf("unknown topology %q", sc.Topology)
-	}
-	if err != nil {
-		return err
-	}
-	defer nw.Close()
 
 	rng := rand.New(rand.NewSource(sc.Seed))
 	var delivered atomic.Int64
 
 	for i := 0; i < sc.Subs; i++ {
-		at := overlay.NodeID(rng.Intn(sc.Nodes))
-		if _, err := nw.Subscribe(at, workload.StockSub(rng), func(event.Event) { delivered.Add(1) }); err != nil {
+		at := rng.Intn(sc.Nodes)
+		if _, err := brokers[at].Subscribe(workload.StockSub(rng), func(event.Event) { delivered.Add(1) }); err != nil {
 			return err
 		}
 	}
-	nw.Flush()
+	netoverlay.Settle(0, brokers...)
 
 	start := time.Now()
 	for i := 0; i < sc.Events; i++ {
-		if err := nw.Publish(overlay.NodeID(rng.Intn(sc.Nodes)), workload.StockEvent(rng, i)); err != nil {
+		if err := brokers[rng.Intn(sc.Nodes)].Publish(workload.StockEvent(rng, i)); err != nil {
 			return err
 		}
 	}
-	nw.Flush()
+	netoverlay.Settle(0, brokers...)
 	elapsed := time.Since(start)
 
-	st := nw.Stats()
+	var st netoverlay.Stats
+	for _, b := range brokers {
+		bs := b.Stats()
+		st.Forwarded += bs.Forwarded
+		st.SubscriptionMsgs += bs.SubscriptionMsgs
+		st.CoverSuppressed += bs.CoverSuppressed
+		st.Shed += bs.Shed
+		st.SpilledBytes += bs.SpilledBytes
+	}
 	fmt.Printf("topology        %s (%d brokers)\n", sc.Topology, sc.Nodes)
 	fmt.Printf("subscriptions   %d\n", sc.Subs)
 	fmt.Printf("events          %d in %v (%.0f events/s)\n",

@@ -15,7 +15,7 @@ package arch
 //	expr       boolexpr, subtree, matcher, cover, sublang, workload
 //	engine     core, counting, index, shard
 //	infra      obs (metrics/tracing; importable by service and above)
-//	service    broker, router, overlay
+//	service    broker, router
 //	transport  wire, netbroker, netoverlay
 //	facade     . (package noncanon)
 //	app        cmd/*, examples/*, bench
@@ -27,8 +27,8 @@ package arch
 // (the enabling property for the confidentiality- and semantics-aware
 // extensions on the roadmap). internal/router is the transport-agnostic
 // routing state machine: it may not import net, internal/wire or
-// internal/netoverlay, so the same router keeps serving the in-process
-// simulation and the TCP federation.
+// internal/netoverlay: routing logic stays independent of how links carry
+// its messages.
 //
 // Exposition rule: only cmd/* and internal/obs may import net/http. The
 // service and transport layers record into obs instruments; whether those
@@ -75,7 +75,7 @@ var DefaultPolicy = Policy{Packages: map[string]PackageRule{
 	// The symbol table is process-global leaf state: nothing below it, and
 	// it must stay pure compute like the rest of the kernel so interned
 	// matching remains embeddable anywhere.
-	"internal/intern":       {Layer: "kernel", ForbidStd: pureStd},
+	"internal/intern":      {Layer: "kernel", ForbidStd: pureStd},
 	"internal/index/btree": {Layer: "kernel", ForbidStd: pureStd},
 	"internal/memmodel":    {Layer: "kernel", ForbidStd: pureStd},
 	"internal/substore":    {Layer: "kernel"}, // file-backed store: os allowed
@@ -129,10 +129,8 @@ var DefaultPolicy = Policy{Packages: map[string]PackageRule{
 		Allow: []string{"internal/boolexpr", "internal/core", "internal/cover", "internal/event", "internal/matcher", "internal/obs"},
 		Deny: map[string]string{
 			"internal/wire":       "router is transport-agnostic; frame encoding belongs to the transports",
-			"internal/netoverlay": "router is transport-agnostic; it must keep serving the in-process overlay too",
+			"internal/netoverlay": "router is transport-agnostic; link handling belongs to netoverlay",
 		}},
-	"internal/overlay": {Layer: "service", ForbidStd: []string{"net"},
-		Allow: []string{"internal/boolexpr", "internal/core", "internal/event", "internal/index", "internal/obs", "internal/predicate", "internal/router", "internal/subtree"}},
 
 	// --- transport (may dial/listen, but exposition stays in cmd/*) ---
 	"internal/wire": {Layer: "transport", WireInAPI: true, ForbidStd: []string{"net/http"},
@@ -149,7 +147,7 @@ var DefaultPolicy = Policy{Packages: map[string]PackageRule{
 	// --- app: commands reach internals only through their declared
 	// service entry points (or the facade); engine guts are off limits ---
 	"internal/bench": {Layer: "app",
-		Allow: []string{"internal/boolexpr", "internal/broker", "internal/chaos", "internal/core", "internal/counting", "internal/event", "internal/index", "internal/matcher", "internal/memmodel", "internal/netbroker", "internal/netoverlay", "internal/obs", "internal/overlay", "internal/predicate", "internal/shard", "internal/subtree", "internal/wire", "internal/workload"}},
+		Allow: []string{"internal/boolexpr", "internal/broker", "internal/chaos", "internal/core", "internal/counting", "internal/event", "internal/index", "internal/matcher", "internal/memmodel", "internal/netbroker", "internal/netoverlay", "internal/obs", "internal/predicate", "internal/shard", "internal/subtree", "internal/wire", "internal/workload"}},
 	// Fault-injection plumbing (stallable TCP relay + delivery oracle) for
 	// chaos experiments and transport tests; pure stdlib, no module deps.
 	"internal/chaos": {Layer: "app"},
@@ -160,7 +158,7 @@ var DefaultPolicy = Policy{Packages: map[string]PackageRule{
 			"internal/subtree": "encoding selection is broker configuration, not command business",
 		}},
 	"cmd/ncoverlay": {Layer: "app",
-		Allow: []string{"internal/event", "internal/netoverlay", "internal/obs", "internal/overlay", "internal/workload"}},
+		Allow: []string{"internal/event", "internal/netoverlay", "internal/obs", "internal/workload"}},
 	"cmd/ncpub": {Layer: "app",
 		Allow: []string{"internal/event", "internal/netbroker"}},
 	"cmd/ncsub": {Layer: "app",
@@ -170,7 +168,7 @@ var DefaultPolicy = Policy{Packages: map[string]PackageRule{
 	"examples/quickstart":  {Layer: "app", Allow: []string{"."}},
 	"examples/auction":     {Layer: "app", Allow: []string{"."}},
 	"examples/stockmon":    {Layer: "app", Allow: []string{"."}},
-	"examples/overlaydemo": {Layer: "app", Allow: []string{"internal/event", "internal/overlay", "internal/sublang"}},
+	"examples/overlaydemo": {Layer: "app", Allow: []string{"internal/event", "internal/netoverlay", "internal/sublang"}},
 	"internal/integration": {Layer: "app"}, // test-only package
 
 	// --- tools ---

@@ -9,7 +9,7 @@ import (
 	"noncanon/internal/boolexpr"
 	"noncanon/internal/broker"
 	"noncanon/internal/event"
-	"noncanon/internal/overlay"
+	"noncanon/internal/netoverlay"
 	"noncanon/internal/predicate"
 )
 
@@ -31,9 +31,9 @@ type CoverPoint struct {
 	P50On         time.Duration
 	P99On         time.Duration
 
-	// Overlay flood with and without Config.Cover: subscription link
-	// messages for the same registration sequence, and how many forwards
-	// covering pruned.
+	// Overlay flood with and without netoverlay.Options.Cover:
+	// subscription link messages for the same registration sequence, and
+	// how many forwards covering pruned.
 	FloodMsgsOff uint64
 	FloodMsgsOn  uint64
 	Suppressed   uint64
@@ -190,33 +190,41 @@ func coverBrokerRun(cfg Config, ranks []int, pool int, aggregate bool) (engineEn
 	return engineEntries, subsPerSec, percentile(durs, 50), percentile(durs, 99), nil
 }
 
-// coverOverlayRun floods the drawn filters through a fresh tree overlay
-// and reports the subscription link-message count (and suppressions).
+// coverOverlayRun floods the drawn filters through a fresh in-process tree
+// of netoverlay brokers (pipe links) and reports the subscription
+// link-message count (and suppressions), summed over the brokers.
 func coverOverlayRun(cfg Config, ranks []int, pool, nodes int, coverOn bool) (floodMsgs, suppressed uint64, err error) {
 	// Overlay flooding is O(subs × nodes); cap the registration count so
 	// the sweep stays proportionate to the broker side.
 	if len(ranks) > 4096 {
 		ranks = ranks[:4096]
 	}
-	// The registration storm runs unthrottled: spill-queue forwarding means
-	// a full inbox can delay but never deadlock the flood, so the old
-	// oversized-inbox + periodic-quiescing workaround is gone.
-	nw, err := overlay.NewTree(nodes, 2, overlay.Config{Cover: coverOn})
-	if err != nil {
-		return 0, 0, err
+	brokers := make([]*netoverlay.Broker, nodes)
+	for i := range brokers {
+		brokers[i] = netoverlay.NewBroker(netoverlay.Options{NodeID: uint32(i + 1), Cover: coverOn})
+		defer brokers[i].Close()
 	}
-	defer nw.Close()
+	for i := 1; i < nodes; i++ {
+		if err := netoverlay.Link(brokers[i], brokers[(i-1)/2]); err != nil {
+			return 0, 0, fmt.Errorf("bench: cover overlay link: %w", err)
+		}
+	}
+	// The registration storm runs unthrottled: spill-queue forwarding means
+	// a full inbox can delay but never deadlock the flood.
 	rng := rand.New(rand.NewSource(cfg.Seed + 101))
 	noop := func(event.Event) {}
 	for _, r := range ranks {
-		at := overlay.NodeID(rng.Intn(nodes))
-		if _, err := nw.Subscribe(at, coverFilter(r, pool), noop); err != nil {
+		if _, err := brokers[rng.Intn(nodes)].Subscribe(coverFilter(r, pool), noop); err != nil {
 			return 0, 0, fmt.Errorf("bench: cover overlay subscribe: %w", err)
 		}
 	}
-	nw.Flush()
-	st := nw.Stats()
-	return st.SubscriptionMsgs, st.CoverSuppressed, nil
+	netoverlay.Settle(0, brokers...)
+	for _, b := range brokers {
+		st := b.Stats()
+		floodMsgs += st.SubscriptionMsgs
+		suppressed += st.CoverSuppressed
+	}
+	return floodMsgs, suppressed, nil
 }
 
 // RunCover regenerates the covering sweep and prints its series.

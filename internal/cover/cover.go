@@ -21,10 +21,10 @@
 //     entries can be shared between subscribers with identical filters.
 //
 // Both are used by the broker's aggregation layer (internal/broker,
-// Options.Aggregate) and the overlay's covering-based subscription
-// forwarding (internal/overlay, Config.Cover) — the SIENA-style pruning
-// that stops flooding a subscription past a link that already carries a
-// covering one.
+// Options.Aggregate) and the federation's covering-based subscription
+// forwarding (internal/router, netoverlay.Options.Cover) — the SIENA-style
+// pruning that stops flooding a subscription past a link that already
+// carries a covering one.
 //
 // Complexity: Covers explores pairs of subtrees, worst-case product of the
 // two tree sizes per And/Or level; subscription trees are small (the

@@ -19,7 +19,7 @@ import (
 	"noncanon/internal/index"
 	"noncanon/internal/matcher"
 	"noncanon/internal/netbroker"
-	"noncanon/internal/overlay"
+	"noncanon/internal/netoverlay"
 	"noncanon/internal/predicate"
 	"noncanon/internal/sublang"
 	"noncanon/internal/workload"
@@ -202,19 +202,20 @@ func TestBrokerOverTCPEndToEnd(t *testing.T) {
 }
 
 // TestOverlayVsSingleBroker publishes the same workload into a 1-broker
-// "network" and a 9-broker tree; delivered counts must be identical — the
-// overlay only changes placement, never matching semantics.
+// "network" and a 9-broker tree of pipe-linked netoverlay brokers;
+// delivered counts must be identical — the overlay only changes placement,
+// never matching semantics.
 func TestOverlayVsSingleBroker(t *testing.T) {
-	build := func(nodes int) (*overlay.Network, *atomic.Int64) {
-		var nw *overlay.Network
-		var err error
-		if nodes == 1 {
-			nw, err = overlay.New(1, nil, overlay.Config{})
-		} else {
-			nw, err = overlay.NewTree(nodes, 2, overlay.Config{})
+	build := func(nodes int) ([]*netoverlay.Broker, *atomic.Int64) {
+		brokers := make([]*netoverlay.Broker, nodes)
+		for i := range brokers {
+			brokers[i] = netoverlay.NewBroker(netoverlay.Options{NodeID: uint32(i + 1)})
+			t.Cleanup(func() { brokers[i].Close() })
 		}
-		if err != nil {
-			t.Fatal(err)
+		for i := 1; i < nodes; i++ {
+			if err := netoverlay.Link(brokers[i], brokers[(i-1)/2]); err != nil {
+				t.Fatal(err)
+			}
 		}
 		var delivered atomic.Int64
 		rng := rand.New(rand.NewSource(77))
@@ -226,33 +227,33 @@ func TestOverlayVsSingleBroker(t *testing.T) {
 					boolexpr.Pred("v", predicate.Gt, 60+rng.Intn(40)),
 				),
 			)
-			at := overlay.NodeID(i % nodes)
-			if _, err := nw.Subscribe(at, expr, func(event.Event) { delivered.Add(1) }); err != nil {
+			if _, err := brokers[i%nodes].Subscribe(expr, func(event.Event) { delivered.Add(1) }); err != nil {
 				t.Fatal(err)
 			}
 		}
-		nw.Flush()
-		return nw, &delivered
+		netoverlay.Settle(0, brokers...)
+		return brokers, &delivered
 	}
 	single, singleCount := build(1)
-	defer single.Close()
 	tree, treeCount := build(9)
-	defer tree.Close()
 
 	rng := rand.New(rand.NewSource(88))
 	for i := 0; i < 300; i++ {
 		ev := event.New().Set("cat", rng.Intn(5)).Set("v", rng.Intn(100))
-		if err := single.Publish(0, ev); err != nil {
+		if err := single[0].Publish(ev); err != nil {
 			t.Fatal(err)
 		}
-		if err := tree.Publish(overlay.NodeID(i%9), ev); err != nil {
+		if err := tree[i%9].Publish(ev); err != nil {
 			t.Fatal(err)
 		}
 	}
-	single.Flush()
-	tree.Flush()
+	netoverlay.Settle(0, single...)
+	netoverlay.Settle(0, tree...)
 	if singleCount.Load() != treeCount.Load() {
 		t.Errorf("deliveries differ: single=%d tree=%d", singleCount.Load(), treeCount.Load())
+	}
+	if singleCount.Load() == 0 {
+		t.Error("no deliveries; the workload lost its teeth")
 	}
 }
 

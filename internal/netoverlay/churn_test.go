@@ -1,4 +1,4 @@
-package overlay
+package netoverlay
 
 import (
 	"fmt"
@@ -10,13 +10,13 @@ import (
 	"noncanon/internal/event"
 )
 
-// TestChurnStormExactlyOnce subjects the overlay to a subscribe/unsubscribe
-// storm interleaved with a publish storm from multiple goroutines and
-// asserts the core routing invariant: subscribers that are stable for the
-// whole run receive every matching event exactly once — never zero, never
-// twice — regardless of the churn around them. Run under -race this also
-// pins the thread-safety of the API surface. Both the plain and the
-// covering configuration are exercised.
+// TestChurnStormExactlyOnce subjects a pipe-linked tree to a
+// subscribe/unsubscribe storm interleaved with a publish storm from
+// multiple goroutines and asserts the core routing invariant: subscribers
+// that are stable for the whole run receive every matching event exactly
+// once — never zero, never twice — regardless of the churn around them.
+// Run under -race this also pins the thread-safety of the API surface.
+// Both the plain and the covering configuration are exercised.
 func TestChurnStormExactlyOnce(t *testing.T) {
 	for _, cfg := range []struct {
 		name  string
@@ -33,11 +33,7 @@ func TestChurnStormExactlyOnce(t *testing.T) {
 				churners   = 3
 				churnIters = 120
 			)
-			nw, err := NewTree(nodes, 2, Config{Cover: cfg.cover, InboxSize: 4096})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer nw.Close()
+			brokers := pipeTree(t, nodes, 2, Options{Cover: cfg.cover, InboxSize: 4096})
 
 			// Stable subscribers: one broad band per category so every event
 			// in that category matches; delivery counts are per event seq.
@@ -47,76 +43,57 @@ func TestChurnStormExactlyOnce(t *testing.T) {
 			}
 			counters := make([]*counterMap, stableSubs)
 			for i := range counters {
-				counters[i] = &counterMap{seen: map[int64]int{}}
-			}
-			for i := 0; i < stableSubs; i++ {
-				cm := counters[i]
-				_, err := nw.Subscribe(NodeID(i%nodes), band(i%3, 1000), func(ev event.Event) {
+				cm := &counterMap{seen: map[int64]int{}}
+				counters[i] = cm
+				if _, err := brokers[i%nodes].Subscribe(band(i%3, 1000), func(ev event.Event) {
 					v, _ := ev.Get("seq")
 					cm.mu.Lock()
 					cm.seen[v.Int()]++
 					cm.mu.Unlock()
-				})
-				if err != nil {
+				}); err != nil {
 					t.Fatal(err)
 				}
 			}
-			nw.Flush()
+			Settle(settleIdle, brokers...)
 
 			// Storm: churners cycle volatile subscriptions (covering and
-			// covered ones) while publishers inject every event once.
+			// covered ones) while a publisher injects every event once.
 			var wg sync.WaitGroup
 			var churnOps atomic.Int64
-			stop := make(chan struct{})
 			for c := 0; c < churners; c++ {
 				wg.Add(1)
 				go func(c int) {
 					defer wg.Done()
 					rng := rand.New(rand.NewSource(int64(c) + 100))
 					for i := 0; i < churnIters; i++ {
-						ref, err := nw.Subscribe(
-							NodeID(rng.Intn(nodes)),
-							band(rng.Intn(3), 10*(1+rng.Intn(12))),
-							func(event.Event) {},
-						)
+						b := brokers[rng.Intn(nodes)]
+						ref, err := b.Subscribe(band(rng.Intn(3), 10*(1+rng.Intn(12))), func(event.Event) {})
 						if err != nil {
 							t.Error(err)
 							return
 						}
-						if err := nw.Unsubscribe(ref); err != nil {
+						if err := b.Unsubscribe(ref); err != nil {
 							t.Error(err)
 							return
 						}
 						churnOps.Add(2)
-						select {
-						case <-stop:
-							return
-						default:
-						}
 					}
 				}(c)
 			}
-			pubErr := make(chan error, 1)
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
 				rng := rand.New(rand.NewSource(7))
 				for seq := int64(1); seq <= events; seq++ {
 					ev := bandEvent(int(seq)%3, rng.Intn(900)).Set("seq", seq)
-					if err := nw.Publish(NodeID(rng.Intn(nodes)), ev); err != nil {
-						pubErr <- err
+					if err := brokers[rng.Intn(nodes)].Publish(ev); err != nil {
+						t.Error(err)
 						return
 					}
 				}
 			}()
 			wg.Wait()
-			close(stop)
-			select {
-			case err := <-pubErr:
-				t.Fatal(err)
-			default:
-			}
-			nw.Flush()
+			Settle(settleIdle, brokers...)
 
 			// Every stable subscriber must have seen each of its category's
 			// events exactly once.
@@ -144,51 +121,47 @@ func TestChurnStormExactlyOnce(t *testing.T) {
 }
 
 // TestChurnUnsubscribeDuringFlood interleaves an unsubscribe directly
-// behind its own subscribe (no quiescing) many times: the network must end
-// every round with no routes left anywhere and deliver nothing afterwards.
+// behind its own subscribe (no settling) many times: the network must end
+// with no routes left anywhere and deliver nothing afterwards.
 func TestChurnUnsubscribeDuringFlood(t *testing.T) {
 	for _, coverOn := range []bool{false, true} {
 		t.Run(fmt.Sprintf("cover=%v", coverOn), func(t *testing.T) {
-			nw, err := NewLine(6, Config{Cover: coverOn})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer nw.Close()
+			brokers := pipeLine(t, 6, Options{Cover: coverOn})
 			var delivered atomic.Int64
 			for i := 0; i < 200; i++ {
-				ref, err := nw.Subscribe(0, band(1, 100+i), func(event.Event) {
+				ref, err := brokers[0].Subscribe(band(1, 100+i), func(event.Event) {
 					delivered.Add(1)
 				})
 				if err != nil {
 					t.Fatal(err)
 				}
 				// Immediately retract while the flood may still be in flight.
-				if err := nw.Unsubscribe(ref); err != nil {
+				if err := brokers[0].Unsubscribe(ref); err != nil {
 					t.Fatal(err)
 				}
 			}
-			nw.Flush()
-			for _, nd := range nw.nodes {
-				if n := nd.rt.NumRoutes(); n != 0 {
-					t.Fatalf("node %d still holds %d routes after churn", nd.id, n)
-				}
-				if nd.eng.NumSubscriptions() != 0 {
-					t.Fatalf("node %d engine still holds %d subscriptions", nd.id, nd.eng.NumSubscriptions())
-				}
-				if coverOn {
-					for i := 0; i < nd.rt.NumLinks(); i++ {
-						fwd, covered, coverers := nd.rt.CoverState(i)
+			Settle(settleIdle, brokers...)
+			for i, b := range brokers {
+				onBroker(t, b, func() {
+					if n := b.rt.NumRoutes(); n != 0 {
+						t.Errorf("broker %d still holds %d routes after churn", i, n)
+					}
+					if n := b.eng.NumSubscriptions(); n != 0 {
+						t.Errorf("broker %d engine still holds %d subscriptions", i, n)
+					}
+					for l := 0; coverOn && l < b.rt.NumLinks(); l++ {
+						fwd, covered, coverers := b.rt.CoverState(l)
 						if fwd != 0 || covered != 0 || coverers != 0 {
-							t.Fatalf("node %d link %d covering state leaked: fwd=%d coveredBy=%d coverees=%d",
-								nd.id, i, fwd, covered, coverers)
+							t.Errorf("broker %d link %d covering state leaked: fwd=%d coveredBy=%d coverees=%d",
+								i, l, fwd, covered, coverers)
 						}
 					}
-				}
+				})
 			}
-			if err := nw.Publish(5, bandEvent(1, 5)); err != nil {
+			if err := brokers[5].Publish(bandEvent(1, 5)); err != nil {
 				t.Fatal(err)
 			}
-			nw.Flush()
+			Settle(settleIdle, brokers...)
 			if delivered.Load() != 0 {
 				t.Errorf("delivered = %d events to unsubscribed handlers", delivered.Load())
 			}

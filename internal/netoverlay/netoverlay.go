@@ -1,25 +1,30 @@
-// Package netoverlay federates brokers over real TCP: each process runs one
-// Broker — a full non-canonical matching engine plus the internal/router
-// routing core — and links to neighbouring brokers with the internal/wire
-// framing (MsgHello handshake, MsgSubForward / MsgUnsubForward /
-// MsgEventForward). N processes whose links form a tree become a
-// covering-routed broker network: subscriptions flood (pruned by covering
-// when Options.Cover is set), events follow reverse paths and reach every
-// matching subscriber in the federation exactly once.
+// Package netoverlay federates brokers: each Broker is a full non-canonical
+// matching engine plus the internal/router routing core, linked to
+// neighbouring brokers with the internal/wire framing (MsgHello handshake,
+// MsgSubForward / MsgUnsubForward / MsgEventForward). Brokers whose links
+// form a tree become a covering-routed broker network: subscriptions flood
+// (pruned by covering when Options.Cover is set), events follow reverse
+// paths and reach every matching subscriber in the federation exactly once.
 //
-// The forwarding discipline is the same one that makes internal/overlay
-// deadlock-free: the broker goroutine never blocks toward a peer. Outbound
-// messages go to a per-peer flow-controlled spill queue drained by a writer
-// goroutine; inbound frames are read by a per-peer reader that feeds the
-// broker inbox. A congested or stalled peer therefore backs traffic up in
-// its own direction only — it can never wedge this broker's loop, and it
-// cannot OOM it either: the spill queue is byte-bounded by credit
-// (Options.LinkHighWater). Past the high watermark the link sheds event
-// traffic (counted in Stats.Shed) while subscription control traffic is
-// never shed, a peer congested past Options.CongestionDeadline is evicted
-// with full route retraction (Stats.Evicted), and a half-open peer that
-// goes silent past Options.ReadIdleTimeout is detached the same way
-// (periodic MsgPing probes keep healthy links audibly alive).
+// A link is a net.Conn. Connect and Listen make one per TCP connection, so
+// each process can run one broker; Link joins two brokers of one process
+// over net.Pipe, which is how the in-process overlay simulation (tests,
+// benchmarks, ncoverlay's simulation mode) runs the same node code.
+//
+// The broker goroutine never blocks toward a peer. Outbound messages go to
+// a per-peer flow-controlled spill queue drained by a writer goroutine;
+// inbound frames are read by a per-peer reader that feeds the broker inbox.
+// The classic A↔B full-inbox cycle — each broker wedged mid-send into the
+// other's full inbox — therefore cannot form, however small
+// Options.InboxSize is. A congested or stalled peer backs traffic up in its
+// own direction only, and it cannot OOM the broker either: the spill queue
+// is byte-bounded by credit (Options.LinkHighWater). Past the high
+// watermark the link sheds event traffic (counted in Stats.Shed) while
+// subscription control traffic is never shed, a peer congested past
+// Options.CongestionDeadline is evicted with full route retraction
+// (Stats.Evicted), and a half-open peer that goes silent past
+// Options.ReadIdleTimeout is detached the same way (periodic MsgPing probes
+// keep healthy links audibly alive).
 //
 // Topology: brokers are identified by operator-assigned node IDs. The
 // handshake rejects self-links, duplicate links to the same peer and
@@ -31,9 +36,11 @@
 package netoverlay
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -64,8 +71,8 @@ var (
 // ErrServerClosed is returned by Serve after Close.
 var ErrServerClosed = errors.New("netoverlay: server closed")
 
-// DefaultInboxSize is the broker inbox capacity. As in internal/overlay,
-// forwarding progress never depends on it.
+// DefaultInboxSize is the broker inbox capacity. Forwarding progress never
+// depends on it (see the package comment).
 const DefaultInboxSize = 1024
 
 // traceRingSize is the capacity of the ring of recent hop records kept
@@ -219,6 +226,13 @@ type Broker struct {
 	activity  atomic.Uint64
 	traceSeq  atomic.Uint64
 
+	// localIn counts inbox messages that arrive over no link (API calls
+	// and control thunks); localDone counts those the broker goroutine has
+	// finished. Settle balances them, as it balances each link's
+	// peer.sent against the far end's peer.handled.
+	localIn   atomic.Uint64
+	localDone atomic.Uint64
+
 	// Observability: every counter below lives in reg (Options.Metrics or
 	// a private registry), so Stats and the exposition endpoint read the
 	// same instruments the hot path increments.
@@ -287,7 +301,6 @@ func NewBroker(opts Options) *Broker {
 		Transport: (*brokerTransport)(b),
 		Metrics:   b.reg,
 	})
-	b.evicted = b.reg.Counter("netoverlay_evicted_total")
 	b.hopLatency = b.reg.Histogram("netoverlay_hop_latency_seconds")
 	// Queue aggregates are function instruments over the live peer set
 	// plus the totals folded in when peers detached. They take b.mu, which
@@ -325,6 +338,9 @@ func NewBroker(opts Options) *Broker {
 		defer b.mu.Unlock()
 		return int64(len(b.peers))
 	})
+	// After the peers gauge, so a snapshot reads evictions first: an
+	// eviction Stats shows has already left Stats.Peers.
+	b.evicted = b.reg.Counter("netoverlay_evicted_total")
 	b.wg.Add(1)
 	go b.run()
 	if opts.CongestionDeadline > 0 {
@@ -438,12 +454,13 @@ func (b *Broker) acceptLoop(ln net.Listener) error {
 			nc.Close()
 			return ErrServerClosed
 		}
-		b.pending[nc] = struct{}{}
 		b.wg.Add(1)
 		b.mu.Unlock()
 		go func() {
 			defer b.wg.Done()
-			b.acceptPeer(nc)
+			if err := b.join(nc, false); err != nil {
+				b.opts.Logf("netoverlay: node %d: reject peer %s: %v", b.opts.NodeID, nc.RemoteAddr(), err)
+			}
 		}()
 	}
 }
@@ -477,6 +494,24 @@ func (b *Broker) Connect(addr string) error {
 	if err != nil {
 		return fmt.Errorf("netoverlay: dial %s: %w", addr, err)
 	}
+	return b.join(nc, true)
+}
+
+// Link joins two brokers of one process over net.Pipe, with a as the
+// dialer: the link runs the same handshake (self-link and duplicate-link
+// vetoes included), attach and framing as a TCP link. It blocks until both
+// ends are live.
+func Link(a, b *Broker) error {
+	ca, cb := net.Pipe()
+	errc := make(chan error, 1)
+	go func() { errc <- b.join(cb, false) }()
+	err := a.join(ca, true)
+	return errors.Join(err, <-errc)
+}
+
+// join runs one side of a fresh connection: the handshake, then attach. It
+// blocks until the link is live and closes nc on failure.
+func (b *Broker) join(nc net.Conn, dialer bool) error {
 	b.mu.Lock()
 	if b.closed.Load() {
 		b.mu.Unlock()
@@ -485,30 +520,13 @@ func (b *Broker) Connect(addr string) error {
 	}
 	b.pending[nc] = struct{}{}
 	b.mu.Unlock()
-	peerID, err := b.handshake(nc, true)
+	peerID, err := b.handshake(nc, dialer)
 	if err != nil {
 		b.unpend(nc)
 		nc.Close()
 		return err
 	}
-	if err := b.attach(nc, peerID); err != nil {
-		return err
-	}
-	return nil
-}
-
-// acceptPeer performs the server side of the handshake and attaches.
-func (b *Broker) acceptPeer(nc net.Conn) {
-	peerID, err := b.handshake(nc, false)
-	if err != nil {
-		b.opts.Logf("netoverlay: node %d: reject peer %s: %v", b.opts.NodeID, nc.RemoteAddr(), err)
-		b.unpend(nc)
-		nc.Close()
-		return
-	}
-	if err := b.attach(nc, peerID); err != nil {
-		b.opts.Logf("netoverlay: node %d: attach peer %d: %v", b.opts.NodeID, peerID, err)
-	}
+	return b.attach(nc, peerID)
 }
 
 // Subscribe registers a local subscription. Its filter floods the
@@ -543,7 +561,7 @@ func (b *Broker) Subscribe(expr boolexpr.Expr, h Handler) (SubRef, error) {
 	}
 	id := uint64(b.opts.NodeID)<<32 | (b.nextSub.Add(1) & 0xffffffff)
 	b.localSubs.Store(id, struct{}{})
-	if !b.enqueue(inMsg{m: router.Msg{Kind: router.Sub, SubID: id, Expr: expr}, from: -1, h: h}) {
+	if !b.enqueueLocal(inMsg{m: router.Msg{Kind: router.Sub, SubID: id, Expr: expr}, from: -1, h: h}) {
 		b.localSubs.Delete(id)
 		return SubRef{}, ErrClosed
 	}
@@ -558,7 +576,7 @@ func (b *Broker) Unsubscribe(ref SubRef) error {
 	if _, ok := b.localSubs.LoadAndDelete(ref.id); !ok {
 		return fmt.Errorf("%w: %d", ErrUnknownSub, ref.id)
 	}
-	if !b.enqueue(inMsg{m: router.Msg{Kind: router.Unsub, SubID: ref.id}, from: -1}) {
+	if !b.enqueueLocal(inMsg{m: router.Msg{Kind: router.Unsub, SubID: ref.id}, from: -1}) {
 		return ErrClosed
 	}
 	return nil
@@ -582,7 +600,7 @@ func (b *Broker) Publish(ev event.Event) error {
 			m.Trace = router.Trace{ID: id, OriginNanos: time.Now().UnixNano()}
 		}
 	}
-	if !b.enqueue(inMsg{m: m, from: -1}) {
+	if !b.enqueueLocal(inMsg{m: m, from: -1}) {
 		return ErrClosed
 	}
 	return nil
@@ -635,7 +653,8 @@ func (b *Broker) Metrics() *obs.Registry { return b.reg }
 func (b *Broker) Traces() *obs.TraceRing { return b.ring }
 
 // Activity returns a monotone counter of broker work (messages processed,
-// frames written). Settle uses it to detect quiescence.
+// frames written). Settle's quiet window watches it for links that leave
+// the broker set it was given.
 func (b *Broker) Activity() uint64 { return b.activity.Load() }
 
 // idle reports whether nothing is queued locally: the inbox is empty and
@@ -654,17 +673,30 @@ func (b *Broker) idle() bool {
 	return true
 }
 
-// Settle blocks until the given brokers have been jointly quiet — no
-// activity anywhere, nothing queued — for the idle window. It is the
-// federation analogue of overlay.Flush for brokers sharing a process (tests
-// and benchmarks); it returns early if every broker closes. The window must
-// comfortably exceed the links' one-hop latency; loopback tests are fine
-// with tens of milliseconds.
+// settlePoll is the interval between Settle's counter sweeps.
+const settlePoll = time.Millisecond
+
+// Settle blocks until the given brokers are quiescent — every message sent
+// among them handled, every API call and control step processed — or until
+// every one of them has closed. It is exact for links whose two ends are
+// both in the set: each link direction balances the routing messages its
+// sender pushed (sheds excluded) against those its receiver has handled,
+// each inbox balances the local messages put in against those finished,
+// and Settle returns only when every balance holds on two consecutive
+// sweeps that read identical counters.
+//
+// A link that leaves the set (to a peer in another process) is invisible
+// to that count, and so is one whose far end has already detached it:
+// while any broker still lists such a link, Settle also waits until no
+// broker has queued work and none has been active for the idle window,
+// which must then comfortably exceed the link's one-hop latency. Links
+// that one side has detached are otherwise ignored; their in-flight
+// messages are lost by design.
 func Settle(idle time.Duration, brokers ...*Broker) {
 	if idle <= 0 {
 		idle = 50 * time.Millisecond
 	}
-	sum := func() uint64 {
+	activity := func() uint64 {
 		var s uint64
 		for _, b := range brokers {
 			s += b.Activity()
@@ -687,18 +719,76 @@ func Settle(idle time.Duration, brokers ...*Broker) {
 		}
 		return false
 	}
-	last := sum()
-	lastChange := time.Now()
+	var prev, cur []uint64
+	prevBalanced := false
+	lastAct, lastChange := activity(), time.Now()
 	for anyOpen() {
-		time.Sleep(idle / 8)
-		if cur := sum(); cur != last {
-			last, lastChange = cur, time.Now()
-			continue
+		var balanced, external bool
+		cur, balanced, external = settleSweep(brokers, cur[:0])
+		if act := activity(); act != lastAct {
+			lastAct, lastChange = act, time.Now()
 		}
-		if allIdle() && time.Since(lastChange) >= idle {
+		if balanced && prevBalanced && slices.Equal(cur, prev) &&
+			(!external || (allIdle() && time.Since(lastChange) >= idle)) {
 			return
 		}
+		prev, cur = cur, prev
+		prevBalanced = balanced
+		time.Sleep(settlePoll)
 	}
+}
+
+// settleSweep reads every counter Settle balances, appending them to vals
+// in a fixed order. balanced reports that every open broker's inbox and
+// every link direction inside the set add up and no link is still
+// handshaking; external that some live link leaves the set.
+func settleSweep(brokers []*Broker, vals []uint64) (out []uint64, balanced, external bool) {
+	open := make(map[uint32]*Broker, len(brokers))
+	for _, b := range brokers {
+		if !b.closed.Load() {
+			open[b.opts.NodeID] = b
+		}
+	}
+	balanced = true
+	for _, b := range brokers {
+		if b.closed.Load() {
+			continue
+		}
+		done := b.localDone.Load()
+		in := b.localIn.Load()
+		vals = append(vals, in, done)
+		b.mu.Lock()
+		forming := len(b.pending) != 0 // a link still handshaking
+		peers := make([]*peer, 0, len(b.peers))
+		for _, p := range b.peers {
+			peers = append(peers, p)
+		}
+		b.mu.Unlock()
+		balanced = balanced && in == done && !forming
+		slices.SortFunc(peers, func(x, y *peer) int { return cmp.Compare(x.nodeID, y.nodeID) })
+		for _, p := range peers {
+			q := open[p.nodeID].peerFor(b.opts.NodeID)
+			if q == nil {
+				external = true
+				continue
+			}
+			sent, handled := p.sent.Load(), q.handled.Load()
+			vals = append(vals, sent, handled)
+			balanced = balanced && sent == handled
+		}
+	}
+	return vals, balanced, external
+}
+
+// peerFor returns b's live link to the given node, or nil (also for a nil
+// broker).
+func (b *Broker) peerFor(nodeID uint32) *peer {
+	if b == nil {
+		return nil
+	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.peers[nodeID]
 }
 
 // Quiesce blocks until this broker alone has been quiet for the idle
@@ -736,6 +826,13 @@ func (b *Broker) Close() error {
 	return nil
 }
 
+// enqueueLocal is enqueue for a message that arrives over no link — an API
+// call or a control thunk — counted so Settle can balance the inbox.
+func (b *Broker) enqueueLocal(m inMsg) bool {
+	b.localIn.Add(1)
+	return b.enqueue(m)
+}
+
 // enqueue delivers one message to the broker inbox; false once closed.
 // External callers (API, peer readers) may block on a full inbox — the
 // broker goroutine itself never calls this, so the block always resolves.
@@ -757,6 +854,7 @@ func (b *Broker) run() {
 			b.activity.Add(1)
 			if m.ctl != nil {
 				m.ctl()
+				b.localDone.Add(1)
 				continue
 			}
 			switch m.m.Kind {
@@ -771,9 +869,16 @@ func (b *Broker) run() {
 			case router.Unsub:
 				b.rt.HandleUnsubscribe(m.m.SubID, m.from)
 			case router.Event:
-				// HandleEventMsg, not HandleEvent: the message may carry a
-				// trace, which must survive into the forwarded copies.
+				// The full message, so a trace survives into the forwarded
+				// copies.
 				b.rt.HandleEventMsg(m.m, m.from)
+			}
+			// Counted after handling, so the messages it sent on are
+			// already counted as sent when Settle sees it handled.
+			if m.from == -1 {
+				b.localDone.Add(1)
+			} else if p := b.links[m.from]; p != nil {
+				p.handled.Add(1)
 			}
 		case <-b.quit:
 			return
@@ -804,10 +909,13 @@ func (t *brokerTransport) Send(link int, m router.Msg) {
 		// (subscriptions, retractions) never is, so routing state stays
 		// consistent however slow the peer.
 		if m.Kind == router.Event {
-			p.out.Offer(m)
+			if p.out.Offer(m) {
+				p.sent.Add(1)
+			}
 			return
 		}
 		p.out.Push(m)
+		p.sent.Add(1)
 	}
 }
 

@@ -15,17 +15,14 @@ import (
 	"noncanon/internal/boolexpr"
 	"noncanon/internal/event"
 	"noncanon/internal/obs"
-	"noncanon/internal/overlay"
 	"noncanon/internal/predicate"
 	"noncanon/internal/wire"
 )
 
-// settleIdle is the quiet window tests hand to Settle. Settle cannot see
-// bytes buffered inside a TCP socket, so the window must exceed the worst
-// reader-goroutine starvation the host inflicts; race-instrumented builds
-// (see settle_race_test.go) are slow enough under a parallel full-suite
-// run to starve a reader past 75 ms.
-const settleIdle = 75 * time.Millisecond * settleRaceFactor
+// settleIdle is the quiet window tests hand to Settle. Settle counts every
+// message on links whose two ends are in the broker set it is given; the
+// window only covers links that leave the set.
+const settleIdle = 20 * time.Millisecond
 
 func band(c, hi int) boolexpr.Expr {
 	return boolexpr.NewAnd(
@@ -53,17 +50,98 @@ func startBroker(t *testing.T, id uint32, coverOn bool) *Broker {
 // TCP: broker i connects to broker (i-1)/2.
 func buildTree(t *testing.T, n int, coverOn bool) []*Broker {
 	t.Helper()
+	return linked(t, false, n, func(i int) int { return (i - 1) / 2 }, Options{Cover: coverOn})
+}
+
+// linked starts n brokers with node IDs 1..n (the other options from opts)
+// and links broker i to broker parent(i) for every i > 0: over net.Pipe
+// with pipe set, otherwise over loopback TCP.
+func linked(t *testing.T, pipe bool, n int, parent func(i int) int, opts Options) []*Broker {
+	t.Helper()
+	if opts.Logf == nil {
+		opts.Logf = t.Logf
+	}
 	brokers := make([]*Broker, n)
 	for i := range brokers {
-		brokers[i] = startBroker(t, uint32(i+1), coverOn)
+		o := opts
+		o.NodeID = uint32(i + 1)
+		b := NewBroker(o)
+		t.Cleanup(func() { b.Close() })
+		if !pipe {
+			if _, err := b.Listen("127.0.0.1:0"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		brokers[i] = b
 	}
 	for i := 1; i < n; i++ {
-		parent := brokers[(i-1)/2]
-		if err := brokers[i].Connect(parent.Addr().String()); err != nil {
-			t.Fatalf("connect %d -> %d: %v", i, (i-1)/2, err)
+		var err error
+		if pipe {
+			err = Link(brokers[i], brokers[parent(i)])
+		} else {
+			err = brokers[i].Connect(brokers[parent(i)].Addr().String())
+		}
+		if err != nil {
+			t.Fatalf("link %d -> %d: %v", i, parent(i), err)
 		}
 	}
 	return brokers
+}
+
+// pipeLine, pipeStar and pipeTree build the in-process overlay shapes over
+// net.Pipe links: a chain 0-1-…-(n-1), a star around hub 0, and a complete
+// k-ary tree rooted at 0.
+func pipeLine(t *testing.T, n int, opts Options) []*Broker {
+	t.Helper()
+	return linked(t, true, n, func(i int) int { return i - 1 }, opts)
+}
+
+func pipeStar(t *testing.T, n int, opts Options) []*Broker {
+	t.Helper()
+	return linked(t, true, n, func(int) int { return 0 }, opts)
+}
+
+func pipeTree(t *testing.T, n, fanout int, opts Options) []*Broker {
+	t.Helper()
+	return linked(t, true, n, func(i int) int { return (i - 1) / fanout }, opts)
+}
+
+// linkKinds names the two link transports tests run over.
+var linkKinds = []struct {
+	name string
+	pipe bool
+}{{"tcp", false}, {"pipe", true}}
+
+// total sums the counters of every broker's Stats.
+func total(brokers []*Broker) Stats {
+	var t Stats
+	for _, b := range brokers {
+		st := b.Stats()
+		t.Published += st.Published
+		t.Forwarded += st.Forwarded
+		t.Delivered += st.Delivered
+		t.SubscriptionMsgs += st.SubscriptionMsgs
+		t.CoverSuppressed += st.CoverSuppressed
+		t.HopDropped += st.HopDropped
+		t.InstallErrors += st.InstallErrors
+		t.Shed += st.Shed
+		t.SpilledBytes += st.SpilledBytes
+		t.QueuedBytes += st.QueuedBytes
+		t.Evicted += st.Evicted
+		t.Peers += st.Peers
+	}
+	return t
+}
+
+// onBroker runs fn on b's broker goroutine, the owner of its routing
+// state, and waits for it.
+func onBroker(t *testing.T, b *Broker, fn func()) {
+	t.Helper()
+	done := make(chan struct{})
+	if !b.enqueueLocal(inMsg{ctl: func() { fn(); close(done) }}) {
+		t.Fatal("broker closed")
+	}
+	<-done
 }
 
 func waitNumGoroutine(want int, deadline time.Duration) int {
@@ -79,9 +157,10 @@ func waitNumGoroutine(want int, deadline time.Duration) int {
 	return n
 }
 
-// TestFederatedExactlyOnce runs three brokers in a line over loopback TCP
-// and asserts every matching subscriber sees every event exactly once, from
-// every publish origin — and that covering actually prunes the flood.
+// TestFederatedExactlyOnce runs three brokers in a line, over loopback TCP
+// and over pipe links, and asserts every matching subscriber sees every
+// event exactly once, from every publish origin — and that covering
+// actually prunes the flood.
 func TestFederatedExactlyOnce(t *testing.T) {
 	for _, coverOn := range []bool{false, true} {
 		name := "plain"
@@ -89,232 +168,194 @@ func TestFederatedExactlyOnce(t *testing.T) {
 			name = "cover"
 		}
 		t.Run(name, func(t *testing.T) {
-			// Line 0-1-2 (buildTree with n=3 gives 1-0-2, a line too, but be
-			// explicit about the shape).
-			brokers := []*Broker{
-				startBroker(t, 1, coverOn),
-				startBroker(t, 2, coverOn),
-				startBroker(t, 3, coverOn),
-			}
-			if err := brokers[1].Connect(brokers[0].Addr().String()); err != nil {
-				t.Fatal(err)
-			}
-			if err := brokers[2].Connect(brokers[1].Addr().String()); err != nil {
-				t.Fatal(err)
-			}
-
-			type rec struct {
-				mu   sync.Mutex
-				seen map[int64]int
-			}
-			newRec := func() *rec { return &rec{seen: map[int64]int{}} }
-			recs := map[string]*rec{}
-			sub := func(b *Broker, tag string, f boolexpr.Expr) {
-				r := newRec()
-				recs[tag] = r
-				if _, err := b.Subscribe(f, func(ev event.Event) {
-					v, _ := ev.Get("seq")
-					r.mu.Lock()
-					r.seen[v.Int()]++
-					r.mu.Unlock()
-				}); err != nil {
-					t.Fatal(err)
-				}
-			}
-			// Wide and narrow filters at the far end, another wide at the
-			// middle: nested bands give covering something to prune.
-			sub(brokers[0], "wide@0", band(1, 100))
-			sub(brokers[0], "narrow@0", band(1, 10))
-			sub(brokers[1], "wide@1", band(1, 100))
-			sub(brokers[2], "narrow@2", band(1, 10))
-			Settle(settleIdle, brokers...)
-
-			seq := int64(0)
-			for origin := 0; origin < 3; origin++ {
-				for _, price := range []int{5, 50, 500} {
-					seq++
-					if err := brokers[origin].Publish(bandEvent(1, price).Set("seq", seq)); err != nil {
-						t.Fatal(err)
-					}
-				}
-			}
-			Settle(settleIdle, brokers...)
-
-			// price 5 (3 events) matches everything; price 50 (3) only the
-			// wide filters; price 500 (3) nothing.
-			want := map[string][]int64{
-				"wide@0":   {1, 2, 4, 5, 7, 8},
-				"narrow@0": {1, 4, 7},
-				"wide@1":   {1, 2, 4, 5, 7, 8},
-				"narrow@2": {1, 4, 7},
-			}
-			for tag, r := range recs {
-				r.mu.Lock()
-				var got []int64
-				for s, n := range r.seen {
-					if n != 1 {
-						t.Errorf("%s: event %d delivered %d times, want exactly once", tag, s, n)
-					}
-					got = append(got, s)
-				}
-				r.mu.Unlock()
-				sort.Slice(got, func(i, j int) bool { return got[i] < got[j] })
-				if fmt.Sprint(got) != fmt.Sprint(want[tag]) {
-					t.Errorf("%s: delivered %v, want %v", tag, got, want[tag])
-				}
-			}
-
-			var totalSuppressed, totalHopDropped, totalAnomalies uint64
-			for _, b := range brokers {
-				st := b.Stats()
-				totalSuppressed += st.CoverSuppressed
-				totalHopDropped += st.HopDropped
-				totalAnomalies += st.InstallErrors
-			}
-			if coverOn && totalSuppressed == 0 {
-				t.Error("CoverSuppressed = 0 with nested filters; covering is not engaged")
-			}
-			if !coverOn && totalSuppressed != 0 {
-				t.Errorf("CoverSuppressed = %d with covering off", totalSuppressed)
-			}
-			if totalHopDropped != 0 || totalAnomalies != 0 {
-				t.Errorf("drops/anomalies: hops=%d installErrors=%d", totalHopDropped, totalAnomalies)
+			for _, kind := range linkKinds {
+				t.Run(kind.name, func(t *testing.T) { testExactlyOnceLine(t, kind.pipe, coverOn) })
 			}
 		})
 	}
 }
 
-// TestFederatedDifferentialVsOverlay drives a loopback-TCP federation and
-// an in-process overlay of the same tree topology through one interleaved
-// subscribe/unsubscribe/publish script (settling between phases so both see
-// identical routing states) and requires identical (subscriber, event)
-// delivery multisets — the federation is the simulation made real, not a
-// different routing algorithm.
-func TestFederatedDifferentialVsOverlay(t *testing.T) {
+func testExactlyOnceLine(t *testing.T, pipe, coverOn bool) {
+	brokers := linked(t, pipe, 3, func(i int) int { return i - 1 }, Options{Cover: coverOn})
+	type rec struct {
+		mu   sync.Mutex
+		seen map[int64]int
+	}
+	newRec := func() *rec { return &rec{seen: map[int64]int{}} }
+	recs := map[string]*rec{}
+	sub := func(b *Broker, tag string, f boolexpr.Expr) {
+		r := newRec()
+		recs[tag] = r
+		if _, err := b.Subscribe(f, func(ev event.Event) {
+			v, _ := ev.Get("seq")
+			r.mu.Lock()
+			r.seen[v.Int()]++
+			r.mu.Unlock()
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Wide and narrow filters at the far end, another wide at the
+	// middle: nested bands give covering something to prune.
+	sub(brokers[0], "wide@0", band(1, 100))
+	sub(brokers[0], "narrow@0", band(1, 10))
+	sub(brokers[1], "wide@1", band(1, 100))
+	sub(brokers[2], "narrow@2", band(1, 10))
+	Settle(settleIdle, brokers...)
+
+	seq := int64(0)
+	for origin := 0; origin < 3; origin++ {
+		for _, price := range []int{5, 50, 500} {
+			seq++
+			if err := brokers[origin].Publish(bandEvent(1, price).Set("seq", seq)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	Settle(settleIdle, brokers...)
+
+	// price 5 (3 events) matches everything; price 50 (3) only the
+	// wide filters; price 500 (3) nothing.
+	want := map[string][]int64{
+		"wide@0":   {1, 2, 4, 5, 7, 8},
+		"narrow@0": {1, 4, 7},
+		"wide@1":   {1, 2, 4, 5, 7, 8},
+		"narrow@2": {1, 4, 7},
+	}
+	for tag, r := range recs {
+		r.mu.Lock()
+		var got []int64
+		for s, n := range r.seen {
+			if n != 1 {
+				t.Errorf("%s: event %d delivered %d times, want exactly once", tag, s, n)
+			}
+			got = append(got, s)
+		}
+		r.mu.Unlock()
+		sort.Slice(got, func(i, j int) bool { return got[i] < got[j] })
+		if fmt.Sprint(got) != fmt.Sprint(want[tag]) {
+			t.Errorf("%s: delivered %v, want %v", tag, got, want[tag])
+		}
+	}
+
+	st := total(brokers)
+	if coverOn && st.CoverSuppressed == 0 {
+		t.Error("CoverSuppressed = 0 with nested filters; covering is not engaged")
+	}
+	if !coverOn && st.CoverSuppressed != 0 {
+		t.Errorf("CoverSuppressed = %d with covering off", st.CoverSuppressed)
+	}
+	if st.HopDropped != 0 || st.InstallErrors != 0 {
+		t.Errorf("drops/anomalies: hops=%d installErrors=%d", st.HopDropped, st.InstallErrors)
+	}
+}
+
+// TestFederatedDifferentialVsOracle drives a 7-broker tree through one
+// interleaved subscribe/unsubscribe/publish script, settling between
+// phases, and requires each broker's (subscriber, event) delivery multiset
+// to equal the naive boolexpr evaluation of every filter live at publish
+// time — over TCP links and over pipe links, with and without covering.
+func TestFederatedDifferentialVsOracle(t *testing.T) {
 	for _, coverOn := range []bool{false, true} {
 		name := "plain"
 		if coverOn {
 			name = "cover"
 		}
 		t.Run(name, func(t *testing.T) {
-			const nodes = 7
-			brokers := buildTree(t, nodes, coverOn)
-			nw, err := overlay.NewTree(nodes, 2, overlay.Config{Cover: coverOn})
-			if err != nil {
-				t.Fatal(err)
+			for _, kind := range linkKinds {
+				t.Run(kind.name, func(t *testing.T) { testDifferentialVsOracle(t, kind.pipe, coverOn) })
 			}
-			defer nw.Close()
-
-			type deliveries struct {
-				mu   sync.Mutex
-				seen map[string][]int64
-			}
-			record := func(d *deliveries, tag string) func(ev event.Event) {
-				return func(ev event.Event) {
-					v, _ := ev.Get("seq")
-					d.mu.Lock()
-					d.seen[tag] = append(d.seen[tag], v.Int())
-					d.mu.Unlock()
-				}
-			}
-			dNet := &deliveries{seen: map[string][]int64{}}
-			dSim := &deliveries{seen: map[string][]int64{}}
-
-			rng := rand.New(rand.NewSource(23))
-			type pair struct {
-				net SubRef
-				sim overlay.SubRef
-			}
-			live := map[string]pair{}
-			var tags []string
-			seq := int64(0)
-
-			for round := 0; round < 12; round++ {
-				for i := 0; i < 10; i++ {
-					if rng.Intn(3) < 2 || len(tags) == 0 {
-						tag := fmt.Sprintf("r%dc%d", round, i)
-						at := rng.Intn(nodes)
-						f := band(rng.Intn(3), 10*(1+rng.Intn(10)))
-						rn, err := brokers[at].Subscribe(f, record(dNet, tag))
-						if err != nil {
-							t.Fatal(err)
-						}
-						rs, err := nw.Subscribe(overlay.NodeID(at), f, record(dSim, tag))
-						if err != nil {
-							t.Fatal(err)
-						}
-						live[tag] = pair{net: rn, sim: rs}
-						tags = append(tags, tag)
-					} else {
-						j := rng.Intn(len(tags))
-						tag := tags[j]
-						tags[j] = tags[len(tags)-1]
-						tags = tags[:len(tags)-1]
-						pr := live[tag]
-						delete(live, tag)
-						// The tag owner's broker is identified by the sub ID.
-						if err := brokers[(pr.net.id>>32)-1].Unsubscribe(pr.net); err != nil {
-							t.Fatal(err)
-						}
-						if err := nw.Unsubscribe(pr.sim); err != nil {
-							t.Fatal(err)
-						}
-					}
-				}
-				Settle(settleIdle, brokers...)
-				nw.Flush()
-
-				for i := 0; i < 12; i++ {
-					seq++
-					ev := bandEvent(rng.Intn(3), rng.Intn(110)).Set("seq", seq)
-					at := rng.Intn(nodes)
-					if err := brokers[at].Publish(ev); err != nil {
-						t.Fatal(err)
-					}
-					if err := nw.Publish(overlay.NodeID(at), ev); err != nil {
-						t.Fatal(err)
-					}
-				}
-				Settle(settleIdle, brokers...)
-				nw.Flush()
-			}
-
-			snapshot := func(d *deliveries) map[string][]int64 {
-				d.mu.Lock()
-				defer d.mu.Unlock()
-				out := make(map[string][]int64, len(d.seen))
-				for k, v := range d.seen {
-					s := append([]int64(nil), v...)
-					sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-					out[k] = s
-				}
-				return out
-			}
-			got, want := snapshot(dNet), snapshot(dSim)
-			if len(got) != len(want) {
-				t.Fatalf("subscriber sets differ: federation %d, overlay %d", len(got), len(want))
-			}
-			for tag, ws := range want {
-				gs := got[tag]
-				if fmt.Sprint(gs) != fmt.Sprint(ws) {
-					t.Fatalf("subscriber %s: federation delivered %v, overlay %v", tag, gs, ws)
-				}
-			}
-
-			var netSuppressed uint64
-			for _, b := range brokers {
-				st := b.Stats()
-				netSuppressed += st.CoverSuppressed
-				if st.HopDropped != 0 || st.InstallErrors != 0 {
-					t.Errorf("node %d: drops/anomalies %+v", b.NodeID(), st)
-				}
-			}
-			if coverOn && netSuppressed == 0 {
-				t.Error("federation never suppressed a flood under -cover")
-			}
-			t.Logf("federation CoverSuppressed = %d across %d brokers", netSuppressed, nodes)
 		})
 	}
+}
+
+func testDifferentialVsOracle(t *testing.T, pipe, coverOn bool) {
+	const nodes = 7
+	brokers := linked(t, pipe, nodes, func(i int) int { return (i - 1) / 2 }, Options{Cover: coverOn})
+
+	// got[node] and want[node] are delivery multisets keyed "tag/seq".
+	var mu sync.Mutex
+	got := make([]map[string]int, nodes)
+	want := make([]map[string]int, nodes)
+	for i := range got {
+		got[i], want[i] = map[string]int{}, map[string]int{}
+	}
+	type sub struct {
+		ref  SubRef
+		at   int
+		expr boolexpr.Expr
+	}
+	live := map[string]sub{}
+	var tags []string
+	rng := rand.New(rand.NewSource(23))
+	seq := int64(0)
+
+	for round := 0; round < 12; round++ {
+		for i := 0; i < 10; i++ {
+			if rng.Intn(3) < 2 || len(tags) == 0 {
+				tag := fmt.Sprintf("r%dc%d", round, i)
+				at := rng.Intn(nodes)
+				f := band(rng.Intn(3), 10*(1+rng.Intn(10)))
+				ref, err := brokers[at].Subscribe(f, func(ev event.Event) {
+					v, _ := ev.Get("seq")
+					mu.Lock()
+					got[at][fmt.Sprintf("%s/%d", tag, v.Int())]++
+					mu.Unlock()
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				live[tag] = sub{ref: ref, at: at, expr: f}
+				tags = append(tags, tag)
+			} else {
+				j := rng.Intn(len(tags))
+				tag := tags[j]
+				tags[j] = tags[len(tags)-1]
+				tags = tags[:len(tags)-1]
+				s := live[tag]
+				delete(live, tag)
+				if err := brokers[s.at].Unsubscribe(s.ref); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		Settle(settleIdle, brokers...)
+
+		for i := 0; i < 12; i++ {
+			seq++
+			ev := bandEvent(rng.Intn(3), rng.Intn(110)).Set("seq", seq)
+			for tag, s := range live {
+				if s.expr.Eval(ev) {
+					want[s.at][fmt.Sprintf("%s/%d", tag, seq)]++
+				}
+			}
+			if err := brokers[rng.Intn(nodes)].Publish(ev); err != nil {
+				t.Fatal(err)
+			}
+		}
+		Settle(settleIdle, brokers...)
+	}
+
+	mu.Lock()
+	defer mu.Unlock()
+	matches := 0
+	for i := range brokers {
+		if fmt.Sprint(got[i]) != fmt.Sprint(want[i]) {
+			t.Errorf("broker %d delivered %v, oracle says %v", i, got[i], want[i])
+		}
+		matches += len(want[i])
+	}
+	if matches == 0 {
+		t.Fatal("the oracle expects no deliveries; the script lost its teeth")
+	}
+	st := total(brokers)
+	if st.HopDropped != 0 || st.InstallErrors != 0 {
+		t.Errorf("drops/anomalies %+v", st)
+	}
+	if coverOn && st.CoverSuppressed == 0 {
+		t.Error("federation never suppressed a flood under -cover")
+	}
+	t.Logf("%d matches; CoverSuppressed = %d across %d brokers", matches, st.CoverSuppressed, nodes)
 }
 
 // TestHandshakeValidation exercises the link vetoes: self node IDs, version

@@ -5,6 +5,7 @@ import (
 	"net"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"noncanon/internal/obs"
@@ -19,7 +20,7 @@ func peerInstrument(family string, nodeID uint32) string {
 	return family + `{peer="` + strconv.FormatUint(uint64(nodeID), 10) + `"}`
 }
 
-// peer is one live broker-to-broker TCP link.
+// peer is one live broker-to-broker link.
 type peer struct {
 	b      *Broker
 	nc     net.Conn
@@ -34,6 +35,13 @@ type peer struct {
 
 	// wmu serializes frame writes between writeLoop and pingLoop.
 	wmu sync.Mutex
+
+	// sent counts routing messages pushed toward this peer (sheds
+	// excluded); handled counts those received from it that this broker
+	// has handled. Settle balances each sent against the far end's
+	// handled.
+	sent    atomic.Uint64
+	handled atomic.Uint64
 
 	// fwd counts event frames written to this peer
 	// (netoverlay_peer_forwarded_total{peer="N"}; survives detach so a
@@ -120,6 +128,7 @@ func (b *Broker) attach(nc net.Conn, peerID uint32) error {
 		return fmt.Errorf("%w: already linked to node %d (duplicate link would close a cycle)", ErrHandshake, peerID)
 	}
 	b.peers[peerID] = p
+	b.localIn.Add(1) // the attach thunk: pending for Settle once the link is visible
 	b.mu.Unlock()
 
 	// Per-peer instruments. The counter is get-or-create: a peer that
@@ -170,6 +179,9 @@ func (b *Broker) attach(nc net.Conn, peerID uint32) error {
 // the federation stops routing events this way.
 func (p *peer) detach(reason error) {
 	p.closeOnce.Do(func() {
+		// The retraction thunk below is pending for Settle from before the
+		// link leaves the peer table.
+		p.b.localIn.Add(1)
 		close(p.done)
 		p.nc.Close()
 		qs := p.out.Stats()
@@ -245,6 +257,7 @@ func (p *peer) readLoop() {
 				// subscriber; count it loudly and keep the link (the peer's
 				// other traffic is fine).
 				p.b.anomaly(fmt.Errorf("netoverlay: unparseable filter from node %d for sub %d: %w", p.nodeID, subID, err))
+				p.handled.Add(1)
 				continue
 			}
 			if !p.b.enqueue(inMsg{m: router.Msg{Kind: router.Sub, SubID: subID, Expr: expr}, from: p.link}) {

@@ -5,7 +5,7 @@
 //
 // The paper's whole argument is quantitative — filtering cost per event,
 // table size, flood counts — so the repro's components (broker, router,
-// overlay, netoverlay) register their counters here instead of keeping
+// netoverlay) register their counters here instead of keeping
 // ad-hoc atomic fields readable only at shutdown. Their public Stats
 // snapshot structs are preserved as *views* over registry instruments, and
 // the live registry adds what a shutdown report cannot: latency histograms
@@ -105,8 +105,8 @@ type instrument struct {
 // Registry is a namespace of instruments. All methods are safe for
 // concurrent use; instrument handles returned by Counter/Gauge/Histogram
 // are get-or-create, so components sharing a registry under the same name
-// share the instrument (the overlay exploits this: every node's router
-// writes the same counters, and network totals are one snapshot read).
+// share the instrument (a netoverlay broker's router writes into the
+// broker's registry, so one snapshot reads both layers' counters).
 type Registry struct {
 	mu      sync.RWMutex
 	byName  map[string]*instrument

@@ -1,6 +1,7 @@
 // Package router is the transport-agnostic core of a content-routed broker:
-// the SIENA-style routing state machine the overlay simulation and the TCP
-// federation both run, specialised to acyclic (tree) broker topologies.
+// the SIENA-style routing state machine every internal/netoverlay broker
+// runs, whatever its links are made of, specialised to acyclic (tree)
+// broker topologies.
 //
 //   - A subscription registered at a broker is flooded through the tree.
 //     Every broker installs it in its local non-canonical engine and
@@ -90,8 +91,6 @@ type Transport interface {
 
 // Config assembles a router.
 type Config struct {
-	// Links is the initial link count; AddLink grows it.
-	Links int
 	// Cover enables covering-based flood pruning.
 	Cover bool
 	// Engine is the broker's local matching engine; the router installs
@@ -101,8 +100,7 @@ type Config struct {
 	Transport Transport
 	// Metrics is the registry the router's counters live in; nil gets a
 	// private registry (Counts still works, nothing is exported). Routers
-	// sharing a registry share instruments — the overlay exploits this to
-	// read network totals in one snapshot.
+	// sharing a registry share instruments.
 	Metrics *obs.Registry
 }
 
@@ -212,7 +210,7 @@ func New(cfg Config) *Router {
 	// reverse registration order, so registering subMsgs → … → forwarded
 	// means a snapshot reads forwarded (effect) before the counters whose
 	// activity produced it, and totals reconcile mid-storm. Callers that
-	// register their own cause (overlay's published) must do so before
+	// register their own cause (netoverlay's published) must do so before
 	// constructing routers.
 	r.subMsgs = reg.Counter("router_sub_msgs_total")
 	r.coverMisses = reg.Counter("router_cover_cache_misses_total")
@@ -221,9 +219,6 @@ func New(cfg Config) *Router {
 	r.hopDropped = reg.Counter("router_hop_dropped_total")
 	r.delivered = reg.Counter("router_delivered_total")
 	r.forwarded = reg.Counter("router_forwarded_total")
-	for i := 0; i < cfg.Links; i++ {
-		r.AddLink()
-	}
 	return r
 }
 
@@ -476,16 +471,10 @@ func (r *Router) unsubOverLink(i int, subID uint64) {
 	r.tr.Send(i, Msg{Kind: Unsub, SubID: subID})
 }
 
-// HandleEvent matches an event arriving on link `from` (-1 for the
-// broker's own API), delivers to local subscribers and forwards one copy
-// per distinct next-hop link.
-func (r *Router) HandleEvent(ev event.Event, hops, from int) {
-	r.HandleEventMsg(Msg{Kind: Event, Ev: ev, Hops: hops}, from)
-}
-
-// HandleEventMsg is HandleEvent taking the full routing message, so
-// per-message extras — today the trace — survive the forward instead of
-// being flattened away at every hop.
+// HandleEventMsg matches the event of m, arriving on link `from` (-1 for
+// the broker's own API), delivers to local subscribers and forwards one
+// copy per distinct next-hop link. Per-message extras — today the trace —
+// survive the forward.
 func (r *Router) HandleEventMsg(m Msg, from int) {
 	ev, hops := m.Ev, m.Hops
 	if hops >= MaxHops {

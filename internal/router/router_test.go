@@ -53,7 +53,10 @@ func bandEvent(c, price int) event.Event {
 func newRouter(t *testing.T, links int, coverOn bool) (*Router, *recorder) {
 	t.Helper()
 	tr := &recorder{}
-	r := New(Config{Links: links, Cover: coverOn, Engine: newEngine(), Transport: tr})
+	r := New(Config{Cover: coverOn, Engine: newEngine(), Transport: tr})
+	for i := 0; i < links; i++ {
+		r.AddLink()
+	}
 	return r, tr
 }
 
@@ -126,7 +129,7 @@ func TestEventRoutesToNextHopsOnly(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr.sent = nil
-	r.HandleEvent(bandEvent(1, 10), 0, 2)
+	r.HandleEventMsg(Msg{Kind: Event, Ev: bandEvent(1, 10)}, 2)
 	evs := tr.ofKind(Event)
 	if len(evs) != 1 || evs[0].link != 1 {
 		t.Fatalf("event forwards = %+v, want exactly one over link 1", evs)
@@ -148,7 +151,7 @@ func TestMaxHopsDropIsCounted(t *testing.T) {
 	if _, err := r.HandleSubscribe(1, band(1, 100), nil, 0); err != nil {
 		t.Fatal(err)
 	}
-	r.HandleEvent(bandEvent(1, 10), MaxHops, 1)
+	r.HandleEventMsg(Msg{Kind: Event, Ev: bandEvent(1, 10), Hops: MaxHops}, 1)
 	if got := r.Counts().HopDropped; got != 1 {
 		t.Errorf("HopDropped = %d, want 1", got)
 	}
@@ -451,11 +454,11 @@ func TestHandleEventMsgPreservesTrace(t *testing.T) {
 	if got := fwds[0].m; got.Trace != trace || got.Hops != 3 {
 		t.Errorf("forwarded msg = %+v, want trace %+v hops 3", got, trace)
 	}
-	// The wrapper sends untraced messages, zero Trace.
-	r.HandleEvent(bandEvent(1, 5), 0, -1)
+	// An untraced message forwards untraced.
+	r.HandleEventMsg(Msg{Kind: Event, Ev: bandEvent(1, 5)}, -1)
 	fwds = tr.ofKind(Event)
 	if len(fwds) != 2 || fwds[1].m.Trace != (Trace{}) {
-		t.Fatalf("HandleEvent wrapper attached a trace: %+v", fwds[len(fwds)-1].m)
+		t.Fatalf("untraced event forwarded with a trace: %+v", fwds[len(fwds)-1].m)
 	}
 }
 
@@ -465,8 +468,10 @@ func TestHandleEventMsgPreservesTrace(t *testing.T) {
 func TestRouterSharedRegistryTotals(t *testing.T) {
 	reg := obs.NewRegistry()
 	tr := &recorder{}
-	ra := New(Config{Links: 1, Engine: newEngine(), Transport: tr, Metrics: reg})
-	rb := New(Config{Links: 1, Engine: newEngine(), Transport: tr, Metrics: reg})
+	ra := New(Config{Engine: newEngine(), Transport: tr, Metrics: reg})
+	rb := New(Config{Engine: newEngine(), Transport: tr, Metrics: reg})
+	ra.AddLink()
+	rb.AddLink()
 	if _, err := ra.HandleSubscribe(1, band(1, 100), nil, -1); err != nil {
 		t.Fatal(err)
 	}
